@@ -4,20 +4,17 @@ Coordinate descent on the objective of Eq. (6): find per-node forward and
 backward weights such that the total embedded proximity out of each node
 matches its out-degree and into each node matches its in-degree.
 
-Two implementations of the per-node terms (a1, a2, a3, b1, b2):
+Everything is written once, in Algorithm 2's notation: the weights w<- of
+the Y side are updated against the X side. Algorithm 4 (Appendix B,
+Eqs. 23-28) is the same computation with the roles of X/Y, w->/w<- and
+d_out/d_in swapped, so the forward versions are the swapped calls.
 
-* :func:`naive_backward_terms` / :func:`naive_forward_terms` — straight from
-  the definitional Eq. (7)/(23): O(n k') per node. Test oracle only.
+* :func:`naive_terms` — the per-node terms (a1, a2, a3, b1, b2) straight
+  from the definitional Eq. (7): O(n k') per node. Test oracle only.
 * :func:`update_backward_weights` / :func:`update_forward_weights` — the
-  paper's O(n k'^2)-per-sweep fast path using the shared aggregates
-  xi, chi, Lambda, rho1, rho2, phi (Eqs. 9, 10, 13) with O(k') incremental
-  rho updates (Eq. 11) as the Gauss-Seidel sweep visits nodes in random
-  order.
-
-The sweep is inherently sequential (each update reads rho1/rho2 written by
-the previous one), so it runs driver-side in numpy; the distributed piece
-is the one-off aggregate computation, mirrored in
-:func:`backward_aggregates_spark` for parity testing (DESIGN.md §5).
+  paper's O(n k'^2) sweep over the aggregates xi, chi, Lambda, rho1, rho2,
+  phi (Eqs. 9, 10, 13), updating rho1/rho2 in O(k') per node (Eq. 11). It
+  is sequential (Gauss-Seidel), so it runs driver-side in numpy (DESIGN §5).
 
 ``b1`` uses the paper's k'/2 heuristic (Eq. 14) by default; ``exact_b1``
 switches to the exact value b1 = Y_v Λ Y_v^T − (w→_v X_v·Y_v)^2, which this
@@ -28,23 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 
-# ---------------------------------------------------------------------------
-# Objective (Eq. 6, squared-residual form implied by the paper's derivatives)
-# ---------------------------------------------------------------------------
-def objective(
-    X: np.ndarray,
-    Y: np.ndarray,
-    wf: np.ndarray,
-    wb: np.ndarray,
-    d_out: np.ndarray,
-    d_in: np.ndarray,
-    lam: float,
-) -> float:
+# -- objective (Eq. 6, squared-residual form implied by the paper's derivatives)
+def objective(X, Y, wf, wb, d_out, d_in, lam: float) -> float:
     """O = sum_v (in-strength(v) - d_in(v))^2 + sum_u (out-strength(u) -
     d_out(u))^2 + lam * sum_u (wf_u^2 + wb_u^2)."""
     wx = wf[:, None] * X  # (n, k')
@@ -61,12 +45,10 @@ def objective(
     )
 
 
-# ---------------------------------------------------------------------------
-# Naive definitional terms (Eq. 7 / Eq. 23) — test oracle
-# ---------------------------------------------------------------------------
-def naive_backward_terms(
-    X, Y, wf, wb, d_out, d_in, vstar: int
-) -> dict[str, float]:
+# -- naive definitional terms (Eq. 7): test oracle
+def naive_terms(X, Y, wf, wb, d_out, d_in, vstar: int) -> dict[str, float]:
+    """Terms of the backward update of node ``vstar``; the forward (Eq. 23)
+    terms of node u* are ``naive_terms(Y, X, wb, wf, d_in, d_out, u*)``."""
     n, k2 = X.shape
     Yv = Y[vstar]
     wx = wf[:, None] * X
@@ -96,38 +78,9 @@ def naive_backward_terms(
     }
 
 
-def naive_forward_terms(
-    X, Y, wf, wb, d_out, d_in, ustar: int
-) -> dict[str, float]:
-    n, k2 = X.shape
-    Xu = X[ustar]
-    wy = wb[:, None] * Y
-    a1 = float(Xu @ (d_in[:, None] * wy).sum(axis=0))
-    mask = np.ones(n, dtype=bool)
-    mask[ustar] = False
-    a2 = float(d_out[ustar] * (Xu @ wy[mask].sum(axis=0)))
-    xy_u = Y @ Xu  # (n,) X_ustar . Y_v
-    inner_all = (Y @ (wf[:, None] * X).sum(axis=0).T)  # sum_u wf_u X_u.Y_v
-    inner_self = np.einsum("ij,ij->i", X, Y) * wf  # u = v term
-    inner_ustar = xy_u * wf[ustar]  # u = ustar term
-    per_v = wb * (inner_all - inner_self - inner_ustar)
-    per_v[ustar] += wb[ustar] * (np.dot(X[ustar], Y[ustar]) * wf[ustar])
-    a3 = float(np.sum(per_v * wb * xy_u))
-    b1_exact = float(np.sum((wb[mask] * xy_u[mask]) ** 2))
-    b1_mid = float(np.sum(wb[mask] ** 2 * ((Y[mask] ** 2) @ (Xu**2))))
-    b2 = float((Xu @ wy[mask].sum(axis=0)) ** 2)
-    return {
-        "a1": a1, "a2": a2, "a3": a3,
-        "b1_exact": b1_exact, "b1_mid": b1_mid,
-        "b1_approx": (k2 / 2.0) * b1_mid, "b2": b2,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Fast aggregates (Eqs. 9, 10, 13 and forward analogues 24, 25, 28)
-# ---------------------------------------------------------------------------
+# -- fast aggregates (Eqs. 9, 10, 13; forward Eqs. 24, 25, 28 by swapping)
 @dataclass
-class BackwardAggregates:
+class Aggregates:
     xi: np.ndarray      # sum_u d_out(u) wf_u X_u                (1 x k')
     chi: np.ndarray     # sum_u wf_u X_u                         (1 x k')
     Lam: np.ndarray     # sum_u wf_u^2 X_u^T X_u                 (k' x k')
@@ -136,10 +89,12 @@ class BackwardAggregates:
     phi: np.ndarray     # phi[r] = sum_u wf_u^2 X_u[r]^2         (k',)
 
 
-def backward_aggregates(X, Y, wf, wb, d_out) -> BackwardAggregates:
+def aggregates(X, Y, wf, wb, d_out) -> Aggregates:
+    """Backward aggregates; the forward ones are
+    ``aggregates(Y, X, wb, wf, d_in)``."""
     wx = wf[:, None] * X
     xy = np.einsum("ij,ij->i", X, Y)
-    return BackwardAggregates(
+    return Aggregates(
         xi=(d_out[:, None] * wx).sum(axis=0),
         chi=wx.sum(axis=0),
         Lam=(wf[:, None] ** 2 * X).T @ X,
@@ -149,76 +104,15 @@ def backward_aggregates(X, Y, wf, wb, d_out) -> BackwardAggregates:
     )
 
 
-def forward_aggregates(X, Y, wf, wb, d_in) -> BackwardAggregates:
-    """Same container, roles swapped per Appendix B (Eqs. 24/25/28)."""
-    wy = wb[:, None] * Y
-    xy = np.einsum("ij,ij->i", X, Y)
-    return BackwardAggregates(
-        xi=(d_in[:, None] * wy).sum(axis=0),
-        chi=wy.sum(axis=0),
-        Lam=(wb[:, None] ** 2 * Y).T @ Y,
-        rho1=(wf[:, None] * X).sum(axis=0),
-        rho2=((wb**2 * wf * xy)[:, None] * Y).sum(axis=0),
-        phi=(wb[:, None] ** 2 * Y**2).sum(axis=0),
-    )
-
-
-def backward_aggregates_spark(
-    spark: SparkSession, X, Y, wf, wb, d_out
-) -> BackwardAggregates:
-    """The same aggregates computed as Spark aggregations over a long-format
-    node table — parity-tested against :func:`backward_aggregates`."""
-    n, k2 = X.shape
-    rows = []
-    for j in range(k2):
-        rows.append(
-            pd.DataFrame(
-                {
-                    "j": j, "x": X[:, j], "y": Y[:, j],
-                    "wf": wf, "wb": wb, "dout": d_out,
-                    "xy": np.einsum("ij,ij->i", X, Y),
-                }
-            )
-        )
-    df = spark.createDataFrame(pd.concat(rows, ignore_index=True))
-    agg = (
-        df.groupBy("j")
-        .agg(
-            F.sum(F.col("dout") * F.col("wf") * F.col("x")).alias("xi"),
-            F.sum(F.col("wf") * F.col("x")).alias("chi"),
-            F.sum(F.col("wb") * F.col("y")).alias("rho1"),
-            F.sum(
-                F.col("wf") * F.col("wf") * F.col("wb") * F.col("xy") * F.col("x")
-            ).alias("rho2"),
-            F.sum(F.col("wf") * F.col("wf") * F.col("x") * F.col("x")).alias("phi"),
-        )
-        .toPandas()
-        .sort_values("j")
-    )
-    lam_np = (wf[:, None] ** 2 * X).T @ X  # k'xk' Gram — small, driver-side
-    return BackwardAggregates(
-        xi=agg["xi"].to_numpy(),
-        chi=agg["chi"].to_numpy(),
-        Lam=lam_np,
-        rho1=agg["rho1"].to_numpy(),
-        rho2=agg["rho2"].to_numpy(),
-        phi=agg["phi"].to_numpy(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Seidel sweeps (Algorithm 2 / Algorithm 4)
-# ---------------------------------------------------------------------------
+# -- Gauss-Seidel sweep (Algorithm 2; Algorithm 4 with the roles swapped)
 def update_backward_weights(
-    X, Y, wf, wb, d_out, d_in, *,
-    lam: float = 10.0,
+    X, Y, wf, wb, d_out, d_in, *, lam: float = 10.0,
     rng: np.random.Generator | None = None,
-    exact_b1: bool = False,
-    strict: bool = False,
-    chunk: int = 1,
+    exact_b1: bool = False, strict: bool = False, chunk: int = 1,
 ) -> np.ndarray:
-    """One epoch of Algorithm 2: update every backward weight once, in
-    random order, with incrementally-maintained rho1/rho2.
+    """One epoch of Algorithm 2: update every backward weight ``wb`` of the
+    Y side once, in random order, against the X side (weights ``wf``),
+    with incrementally-maintained rho1/rho2; returns the new ``wb``.
 
     ``strict=True`` makes each update the *exact* 1-D minimizer of the
     objective (drops the u=v* contributions that the paper's Eq. (7) keeps
@@ -233,7 +127,7 @@ def update_backward_weights(
     n, k2 = X.shape
     rng = rng or np.random.default_rng(0)
     wb = wb.copy()
-    ag = backward_aggregates(X, Y, wf, wb, d_out)
+    ag = aggregates(X, Y, wf, wb, d_out)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
     # per-node constants, vectorized once per sweep
     xy = np.einsum("ij,ij->i", X, Y)          # X_v . Y_v
@@ -251,18 +145,12 @@ def update_backward_weights(
             s = chiY[c] - wf[c] * xy[c]
             a1 = a1_all[c]
             a2 = d_in[c] * s
-            a3 = (
-                LamY[c] @ rho1
-                - wb[c] * yly[c]
-                - Y[c] @ rho2
-                + wb[c] * xy[c] ** 2 * wf[c] ** 2
-            )
+            a3 = (LamY[c] @ rho1 - wb[c] * yly[c] - Y[c] @ rho2
+                  + wb[c] * xy[c] ** 2 * wf[c] ** 2)
             b2 = s * s
             if strict:
                 a1 = a1 - d_out[c] * wf[c] * xy[c]
-                a3 = a3 - wf[c] ** 2 * xy[c] * (
-                    X[c] @ rho1 - wb[c] * xy[c]
-                )
+                a3 = a3 - wf[c] ** 2 * xy[c] * (X[c] @ rho1 - wb[c] * xy[c])
             if exact_b1 or strict:
                 b1 = yly[c] - (wf[c] * xy[c]) ** 2
             else:
@@ -281,12 +169,8 @@ def update_backward_weights(
         s = chiY[v] - wf[v] * xy[v]           # (chi - wf_v X_v) Y_v^T
         a1 = a1_all[v]
         a2 = d_in[v] * s
-        a3 = (
-            rho1 @ LamY[v]
-            - wb[v] * yly[v]
-            - rho2 @ Y[v]
-            + wb[v] * xy[v] ** 2 * wf[v] ** 2
-        )
+        a3 = (rho1 @ LamY[v] - wb[v] * yly[v] - rho2 @ Y[v]
+              + wb[v] * xy[v] ** 2 * wf[v] ** 2)
         b2 = s * s
         if strict:
             a1 = a1 - d_out[v] * wf[v] * xy[v]
@@ -305,85 +189,8 @@ def update_backward_weights(
     return wb
 
 
-def update_forward_weights(
-    X, Y, wf, wb, d_out, d_in, *,
-    lam: float = 10.0,
-    rng: np.random.Generator | None = None,
-    exact_b1: bool = False,
-    strict: bool = False,
-    chunk: int = 1,
-) -> np.ndarray:
-    """One epoch of Algorithm 4 (Appendix B), symmetric to Algorithm 2
-    (see that function for the ``strict``/``chunk`` semantics)."""
-    n, k2 = X.shape
-    rng = rng or np.random.default_rng(0)
-    wf = wf.copy()
-    ag = forward_aggregates(X, Y, wf, wb, d_in)
-    xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
-    xy = np.einsum("ij,ij->i", X, Y)
-    a1_all = X @ xi
-    chiX = X @ chi
-    LamX = X @ Lam
-    xlx = np.einsum("ij,ij->i", X, LamX)
-    t_phi = (X**2) @ phi
-    t_self = np.einsum("ij,ij->i", X**2, Y**2)
-    floor = 1.0 / n
-    if chunk > 1:
-        order = rng.permutation(n)
-        for lo in range(0, n, chunk):
-            c = order[lo : lo + chunk]
-            s = chiX[c] - wb[c] * xy[c]
-            a1 = a1_all[c]
-            a2 = d_out[c] * s
-            a3 = (
-                LamX[c] @ rho1
-                - wf[c] * xlx[c]
-                - X[c] @ rho2
-                + wb[c] ** 2 * xy[c] ** 2 * wf[c]
-            )
-            b2 = s * s
-            if strict:
-                a1 = a1 - d_in[c] * wb[c] * xy[c]
-                a3 = a3 - wb[c] ** 2 * xy[c] * (
-                    Y[c] @ rho1 - wf[c] * xy[c]
-                )
-            if exact_b1 or strict:
-                b1 = xlx[c] - (wb[c] * xy[c]) ** 2
-            else:
-                b1 = (k2 / 2.0) * (t_phi[c] - wb[c] ** 2 * t_self[c])
-            den = b1 + b2 + lam
-            new = np.where(
-                den > 0, np.maximum(floor, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)),
-                wf[c],
-            )
-            delta = new - wf[c]
-            rho1 = rho1 + delta @ X[c]
-            rho2 = rho2 + (delta * wb[c] ** 2 * xy[c]) @ Y[c]
-            wf[c] = new
-        return wf
-    for u in rng.permutation(n):
-        s = chiX[u] - wb[u] * xy[u]
-        a1 = a1_all[u]
-        a2 = d_out[u] * s
-        a3 = (
-            rho1 @ LamX[u]
-            - wf[u] * xlx[u]
-            - rho2 @ X[u]
-            + wb[u] ** 2 * xy[u] ** 2 * wf[u]
-        )
-        b2 = s * s
-        if strict:
-            a1 = a1 - d_in[u] * wb[u] * xy[u]
-            a3 = a3 - wb[u] ** 2 * xy[u] * (Y[u] @ (rho1 - wf[u] * X[u]))
-        if exact_b1 or strict:
-            b1 = xlx[u] - (wb[u] * xy[u]) ** 2
-        else:
-            b1 = (k2 / 2.0) * (t_phi[u] - wb[u] ** 2 * t_self[u])
-        den = b1 + b2 + lam
-        new = max(floor, (a1 + a2 - a3) / den) if den > 0 else wf[u]
-        delta = new - wf[u]
-        if delta != 0.0:
-            rho1 = rho1 + delta * X[u]
-            rho2 = rho2 + delta * wb[u] ** 2 * xy[u] * Y[u]
-            wf[u] = new
-    return wf
+def update_forward_weights(X, Y, wf, wb, d_out, d_in, **kw) -> np.ndarray:
+    """One epoch of Algorithm 4 (Appendix B): Algorithm 2 with the roles
+    swapped; returns the new forward weights. Keyword arguments as in
+    :func:`update_backward_weights`."""
+    return update_backward_weights(Y, X, wb, wf, d_in, d_out, **kw)

@@ -5,8 +5,8 @@ Two views of the same graph:
 * :class:`LocalGraph` — numpy arrays on the driver. This is the reference
   ("oracle") representation used by the local backends and by inherently
   driver-side steps (edge splits, walk sampling, coordinate descent).
-* :class:`SparkGraph` — a Spark DataFrame of arcs plus DataFrame helpers
-  (degrees, transition probabilities). All distributed iterative compute
+* :class:`SparkGraph` — a Spark DataFrame of arcs plus a DataFrame helper
+  for the transition probabilities. All distributed iterative compute
   (PPR power iterations, Krylov matvecs) runs against this view.
 
 Conventions
@@ -138,18 +138,10 @@ class LocalGraph:
             out[rows, lo : lo + blk] = np.add.reduceat(contrib, starts, axis=0)
         return out
 
-    def spmv(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """``A @ X`` (or weighted-arc product) without materializing A.
-
-        ``(A X)[u] = sum over arcs (u, v) of w_uv * X[v]``. ``weights`` is
-        per-arc, aligned with ``self.arcs`` row order.
-        """
+    def spmv(self, X: np.ndarray) -> np.ndarray:
+        """``A @ X`` without materializing A:
+        ``(A X)[u] = sum over arcs (u, v) of X[v]``."""
         X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
-        if weights is not None:
-            a = self.arcs
-            out = np.zeros((self.n, X.shape[1]))
-            np.add.at(out, a[:, 0], X[a[:, 1]] * weights[:, None])
-            return out
         indptr, indices = self.csr()
         return self._segment_sum(X, indptr, indices)
 
@@ -201,9 +193,9 @@ class LocalGraph:
 class SparkGraph:
     """Spark DataFrame view of a :class:`LocalGraph`.
 
-    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``; helper methods
-    return pure DataFrame results so every one is checkable against the
-    DuckDB oracle.
+    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``;
+    :meth:`transition_arcs` returns a pure DataFrame result, checkable
+    against the DuckDB oracle.
     """
 
     def __init__(self, spark: SparkSession, local: LocalGraph, num_partitions: int | None = None):
@@ -219,21 +211,6 @@ class SparkGraph:
         self.arcs: DataFrame = df.cache()
         self.arcs.count()  # materialize
 
-    def out_degrees(self) -> DataFrame:
-        """(id, d_out) for every node, including zero-out-degree nodes."""
-        nodes = self.spark.range(self.n).withColumnRenamed("id", "id")
-        deg = self.arcs.groupBy(F.col("src").alias("id")).agg(
-            F.count("*").alias("d_out")
-        )
-        return nodes.join(deg, "id", "left").fillna({"d_out": 0})
-
-    def in_degrees(self) -> DataFrame:
-        nodes = self.spark.range(self.n)
-        deg = self.arcs.groupBy(F.col("dst").alias("id")).agg(
-            F.count("*").alias("d_in")
-        )
-        return nodes.join(deg, "id", "left").fillna({"d_in": 0})
-
     def transition_arcs(self) -> DataFrame:
         """(src, dst, p) with p = 1/d_out(src): the sparse transition matrix."""
         deg = self.arcs.groupBy(F.col("src").alias("u")).agg(
@@ -242,11 +219,6 @@ class SparkGraph:
         return (
             self.arcs.join(deg, self.arcs.src == deg.u)
             .select("src", "dst", (F.lit(1.0) / F.col("d")).alias("p"))
-        )
-
-    def transpose_arcs(self) -> DataFrame:
-        return self.arcs.select(
-            F.col("dst").alias("src"), F.col("src").alias("dst")
         )
 
     def unpersist(self) -> None:

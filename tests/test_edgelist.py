@@ -102,15 +102,6 @@ def test_spmv_matches_dense(seed):
     np.testing.assert_allclose(g.pmv(X), g.transition() @ X, atol=1e-12)
 
 
-def test_spmv_weighted():
-    g = directed_cycle(4)
-    w = np.array([2.0, 3.0, 4.0, 5.0])
-    X = np.eye(4)
-    out = g.spmv(X, weights=w)
-    # arc i -> i+1 with weight w_i contributes to row i
-    assert out[0, 1] == 2.0 and out[3, 0] == 5.0
-
-
 def test_csr_structure():
     g = star(5)
     indptr, indices = g.csr()
@@ -134,40 +125,6 @@ def _arc_pdf(g):
     return pd.DataFrame({"src": g.arcs[:, 0], "dst": g.arcs[:, 1]})
 
 
-def test_spark_out_degrees_oracle(spark):
-    g = example_graph()
-    sg = SparkGraph(spark, g)
-    assert_equivalent(
-        sg.out_degrees(),
-        """
-        SELECT n.id AS id, COALESCE(d.d_out, 0) AS d_out
-        FROM nodes n LEFT JOIN (
-          SELECT src AS id, COUNT(*) AS d_out FROM arcs GROUP BY src
-        ) d USING (id)
-        """,
-        arcs=_arc_pdf(g),
-        nodes=pd.DataFrame({"id": range(g.n)}),
-    )
-    sg.unpersist()
-
-
-def test_spark_in_degrees_oracle(spark):
-    g = erdos_renyi(30, 60, directed=True, seed=3)
-    sg = SparkGraph(spark, g)
-    assert_equivalent(
-        sg.in_degrees(),
-        """
-        SELECT n.id AS id, COALESCE(d.d_in, 0) AS d_in
-        FROM nodes n LEFT JOIN (
-          SELECT dst AS id, COUNT(*) AS d_in FROM arcs GROUP BY dst
-        ) d USING (id)
-        """,
-        arcs=_arc_pdf(g),
-        nodes=pd.DataFrame({"id": range(g.n)}),
-    )
-    sg.unpersist()
-
-
 def test_spark_transition_arcs_oracle(spark):
     g = example_graph()
     sg = SparkGraph(spark, g)
@@ -180,15 +137,5 @@ def test_spark_transition_arcs_oracle(spark):
         ) d USING (src)
         """,
         arcs=_arc_pdf(g),
-    )
-    sg.unpersist()
-
-
-def test_spark_transpose_arcs(spark):
-    g = directed_cycle(4)
-    sg = SparkGraph(spark, g)
-    pdf = sg.transpose_arcs().toPandas().sort_values(["src", "dst"])
-    assert pdf[["src", "dst"]].values.tolist() == sorted(
-        g.edges[:, ::-1].tolist()
     )
     sg.unpersist()

@@ -1,5 +1,6 @@
 """Synthetic graph generators: sizes, determinism, planted structure."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.graphs.generators import (
@@ -11,7 +12,7 @@ from repro.graphs.generators import (
     ring,
     star,
 )
-from repro.graphs.stats import evolving_stats_row, stats_row, stats_table
+from repro.graphs.stats import evolving_stats_row, stats_row
 
 
 def test_example_graph_shape():
@@ -103,7 +104,7 @@ def test_stats_rows():
         "name": "fig1", "n": 9, "m": 12, "type": "undirected",
         "labels": 3, "avg_deg": 1.33, "max_out_deg": 4,
     }
-    tbl = stats_table([row, stats_row(directed_cycle(4))])
+    tbl = pd.DataFrame([row, stats_row(directed_cycle(4))])
     assert list(tbl.columns)[:3] == ["name", "n", "m"] and len(tbl) == 2
 
 

@@ -1,85 +1,60 @@
-"""Self-tests of the provided scaffolding (synth_data + DuckDB oracle):
-the oracle must catch wrong results, and the TPC-H-lite generators must be
-usable with it — this keeps the provided infrastructure exercised even
-though the paper is evaluated on graphs."""
+"""Self-tests of the DuckDB oracle on graph arcs: it must accept a correct
+Spark result and catch a wrong one, so that a passing oracle check on the
+graph substrate means something."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graphs.edgelist import SparkGraph
+from repro.graphs.generators import erdos_renyi
 from repro.oracle import assert_equivalent
 
+# per-arc transition probability 1/d_out(src), the oracle side of each join
+TRANSITION_SQL = """
+    SELECT a.src AS src, a.dst AS dst, 1.0 / d.d_out AS p
+    FROM arcs a JOIN deg d ON a.src = d.id
+"""
+
 
 @pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.001, seed=0).cache()
-
-
-@pytest.fixture(scope="module")
-def orders(spark):
-    return synth_data.orders(spark, sf=0.001, seed=1).cache()
-
-
-def test_oracle_accepts_correct_aggregation(spark, li):
-    got = li.groupBy("l_returnflag").agg(
-        F.sum("l_quantity").alias("sum_qty"),
-        F.count("*").alias("cnt"),
+def graph(spark):
+    g = erdos_renyi(50, 200, directed=True, seed=0)
+    sg = SparkGraph(spark, g)
+    deg = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(g.n), "d_out": g.d_out.astype(np.int64)})
     )
+    yield sg.arcs, deg
+    sg.unpersist()
+
+
+def test_oracle_accepts_correct_aggregation(graph):
+    arcs, _ = graph
+    got = arcs.groupBy("src").agg(F.count("*").alias("d_out"))
     assert_equivalent(
         got,
-        """
-        SELECT l_returnflag, SUM(l_quantity) AS sum_qty, COUNT(*) AS cnt
-        FROM li GROUP BY l_returnflag
-        """,
-        li=li,
+        "SELECT src, COUNT(*) AS d_out FROM arcs GROUP BY src",
+        arcs=arcs,
     )
 
 
-def test_oracle_catches_wrong_join(spark, li, orders):
-    # deliberately wrong: inner join keyed on the wrong column
-    wrong = (
-        li.join(orders, li.l_orderkey == orders.o_custkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
+def _transition(arcs, deg, key: str):
+    return arcs.join(deg, arcs[key] == deg.id).select(
+        "src", "dst", (F.lit(1.0) / F.col("d_out")).alias("p")
     )
+
+
+def test_oracle_catches_wrong_join(graph):
+    # deliberately wrong: degree table keyed on the arc's dst, not its src
+    arcs, deg = graph
     with pytest.raises(AssertionError):
         assert_equivalent(
-            wrong,
-            """
-            SELECT o_orderpriority, COUNT(*) AS cnt
-            FROM li JOIN orders ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            """,
-            li=li,
-            orders=orders,
+            _transition(arcs, deg, "dst"), TRANSITION_SQL, arcs=arcs, deg=deg
         )
 
 
-def test_oracle_correct_join(spark, li, orders):
-    got = (
-        li.join(orders, li.l_orderkey == orders.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg(F.count("*").alias("cnt"))
-    )
+def test_oracle_correct_join(graph):
+    arcs, deg = graph
     assert_equivalent(
-        got,
-        """
-        SELECT o_orderpriority, COUNT(*) AS cnt
-        FROM li JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderpriority
-        """,
-        li=li,
-        orders=orders,
+        _transition(arcs, deg, "src"), TRANSITION_SQL, arcs=arcs, deg=deg
     )
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=20_000, n_keys=1000, alpha=1.2).toPandas()
-    top = df.k.value_counts()
-    assert top.iloc[0] > 20 * top.iloc[-1]
-
-
-def test_uniform_keys_shape(spark):
-    df = synth_data.uniform_keys(spark, n=1000, n_keys=50)
-    assert df.count() == 1000
-    assert set(df.columns) == {"k", "v"}

@@ -1,16 +1,14 @@
 """Node reweighting (Algorithms 2 & 4): fast aggregates vs the definitional
-Eq. (7)/(23) oracle, incremental-rho correctness, objective descent, and the
-Example 2 update."""
+Eq. (7)/(23) oracle, strict updates vs the objective's exact coordinate
+minimizer, incremental-rho correctness, objective descent, and the Example 2
+update."""
 import numpy as np
 import pytest
 
 from repro.core.approxppr import approxppr
 from repro.core.reweight import (
-    backward_aggregates,
-    backward_aggregates_spark,
-    forward_aggregates,
-    naive_backward_terms,
-    naive_forward_terms,
+    aggregates,
+    naive_terms,
     objective,
     update_backward_weights,
     update_forward_weights,
@@ -31,13 +29,23 @@ def setup():
     return X, Y, wf, wb, d_out, d_in
 
 
+class OneNodeRng:
+    """Stand-in rng whose sweep order visits a single node."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def permutation(self, n):
+        return np.array([self.v])
+
+
 # ------------------------------------------------------------ fast == naive
 @pytest.mark.parametrize("vstar", [0, 7, 24])
 def test_backward_terms_fast_vs_naive(setup, vstar):
     X, Y, wf, wb, d_out, d_in = setup
     n, k2 = X.shape
-    nv = naive_backward_terms(X, Y, wf, wb, d_out, d_in, vstar)
-    ag = backward_aggregates(X, Y, wf, wb, d_out)
+    nv = naive_terms(X, Y, wf, wb, d_out, d_in, vstar)
+    ag = aggregates(X, Y, wf, wb, d_out)
     Yv, Xv = Y[vstar], X[vstar]
     xy = Xv @ Yv
     s = (ag.chi - wf[vstar] * Xv) @ Yv
@@ -66,8 +74,9 @@ def test_backward_terms_fast_vs_naive(setup, vstar):
 def test_forward_terms_fast_vs_naive(setup, ustar):
     X, Y, wf, wb, d_out, d_in = setup
     n, k2 = X.shape
-    nv = naive_forward_terms(X, Y, wf, wb, d_out, d_in, ustar)
-    ag = forward_aggregates(X, Y, wf, wb, d_in)
+    # Eqs. (23)-(28): the backward oracle and aggregates with roles swapped
+    nv = naive_terms(Y, X, wb, wf, d_in, d_out, ustar)
+    ag = aggregates(Y, X, wb, wf, d_in)
     Xu, Yu = X[ustar], Y[ustar]
     xy = Xu @ Yu
     s = (ag.chi - wb[ustar] * Yu) @ Xu
@@ -96,8 +105,37 @@ def test_b1_sandwich_bound(setup):
     X, Y, wf, wb, d_out, d_in = setup
     k2 = X.shape[1]
     for v in range(X.shape[0]):
-        nv = naive_backward_terms(X, Y, wf, wb, d_out, d_in, v)
+        nv = naive_terms(X, Y, wf, wb, d_out, d_in, v)
         assert nv["b1_exact"] <= k2 * nv["b1_mid"] + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_strict_update_is_exact_coordinate_minimizer(seed):
+    # independent of the aggregate formulas: the objective is quadratic in
+    # each single weight, so three evaluations give its exact 1-D minimizer.
+    # Mostly-positive embeddings put 24 of the 30 minimizers above the 1/n
+    # floor and 6 below it.
+    rng = np.random.default_rng(seed)
+    n, k2, lam = 40, 4, 1.0
+    X, Y = rng.random((2, n, k2)) * 0.4 - 0.15
+    wf, wb = rng.random(n) * 3 + 0.2, rng.random(n) * 2 + 0.1
+    d_out, d_in = rng.integers(1, 10, (2, n)).astype(float)
+    roles = ((update_backward_weights, 3), (update_forward_weights, 2))
+    for v in (0, 17, n - 1):
+        for update, pos in roles:
+            def obj(t):
+                args = [X, Y, wf, wb, d_out, d_in]
+                args[pos] = args[pos].copy()
+                args[pos][v] = t
+                return objective(*args, lam)
+
+            f0, f1, f2 = obj(0.0), obj(1.0), obj(2.0)
+            a = (f0 - 2 * f1 + f2) / 2
+            b = f1 - f0 - a
+            expected = max(1.0 / n, -b / (2 * a))
+            got = update(X, Y, wf, wb, d_out, d_in, lam=lam, strict=True,
+                         rng=OneNodeRng(v))
+            assert got[v] == pytest.approx(expected, rel=1e-9)
 
 
 # ------------------------------------------------------ sweeps and descent
@@ -181,15 +219,10 @@ def test_example2_update_structure():
     X, Y = approxppr(g, 2, q=8, seed=0)
     wf = g.d_out.copy()
     wb = np.ones(9)
-    nv = naive_backward_terms(X, Y, wf, wb, g.d_out, g.d_in, 0)
+    nv = naive_terms(X, Y, wf, wb, g.d_out, g.d_in, 0)
     expected = max(1 / 9, (nv["a1"] + nv["a2"] - nv["a3"]) / (nv["b1_approx"] + nv["b2"]))
-
-    class OneNodeRng:
-        def permutation(self, n):
-            return np.array([0])
-
     wb2 = update_backward_weights(
-        X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng()
+        X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng(0)
     )
     assert wb2[0] == pytest.approx(expected, rel=1e-9)
     assert np.all(wb2[1:] == 1.0)
@@ -227,14 +260,3 @@ def test_chunked_matches_sequential_quality():
     )
     corr = np.corrcoef(seq, chk)[0, 1]
     assert corr > 0.95
-
-
-def test_aggregates_spark_parity(spark, setup):
-    X, Y, wf, wb, d_out, d_in = setup
-    a_np = backward_aggregates(X, Y, wf, wb, d_out)
-    a_sp = backward_aggregates_spark(spark, X, Y, wf, wb, d_out)
-    for field in ("xi", "chi", "rho1", "rho2", "phi"):
-        np.testing.assert_allclose(
-            getattr(a_sp, field), getattr(a_np, field), atol=1e-9
-        )
-    np.testing.assert_allclose(a_sp.Lam, a_np.Lam, atol=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.registry import get_method
 from repro.embedding import Embedding
 from repro.graphs.generators import dcsbm
-from repro.tasks.classification import classification_sweep, node_classification_f1
+from repro.tasks.classification import node_classification_f1
 from repro.tasks.linkpred import edge_feature_scores, link_prediction_auc
 from repro.tasks.reconstruction import (
     reconstruction_precision,
@@ -119,13 +119,6 @@ def test_classification_beats_chance(bundle, nrp_emb):
     g, labels = bundle
     micro, macro = node_classification_f1(nrp_emb, labels, train_ratio=0.5, seed=0)
     assert micro > 0.5 and macro > 0.4  # 5 classes -> chance is 0.2
-
-
-def test_classification_sweep_shape(bundle, nrp_emb):
-    g, labels = bundle
-    out = classification_sweep(nrp_emb, labels, [0.3, 0.7], seed=0)
-    assert set(out) == {0.3, 0.7}
-    assert all(0 <= m <= 1 for pair in out.values() for m in pair)
 
 
 def test_classification_ratio_too_high(bundle, nrp_emb):
