@@ -3,7 +3,7 @@ Reweighted Personalized PageRank" (NRP, VLDB 2020) on PySpark.
 
 Layout (see DESIGN.md):
   graphs/      edge-list substrate + synthetic dataset generators
-  linalg/      long-format distributed matrices + block-Krylov SVD
+  linalg/      block-Krylov SVD + long-format DataFrame matrices
   ppr/         personalized-PageRank oracle + distributed power iteration
   core/        the paper's contribution: ApproxPPR, reweighting, NRP
   baselines/   competitor embedding methods (5 groups, 10 methods)

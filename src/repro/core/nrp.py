@@ -56,6 +56,10 @@ def nrp(
     above n = 2000."""
     if k < 2 or k % 2:
         raise ValueError("k must be an even integer >= 2")
+    if l2 < 0:
+        raise ValueError(f"l2 must be >= 0, got {l2}")
+    if not lam >= 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
     k2 = k // 2
     X0, Y0 = approxppr(
         g, k2, alpha=alpha, l1=l1, eps=eps, q=q, seed=seed,

@@ -5,9 +5,12 @@ Two views of the same graph:
 * :class:`LocalGraph` — numpy arrays on the driver. This is the reference
   ("oracle") representation used by the local backends and by inherently
   driver-side steps (edge splits, walk sampling, coordinate descent).
-* :class:`SparkGraph` — a Spark DataFrame of arcs plus a DataFrame helper
-  for the transition probabilities. All distributed iterative compute
-  (PPR power iterations, Krylov matvecs) runs against this view.
+* :class:`SparkGraph` — the same sparse products (``A X``, ``A^T X``,
+  ``P X``) computed by Spark: the CSR of A and of A^T is cut into row
+  blocks held in cached DataFrames, X is broadcast, and each block's rows
+  are summed on an executor. X is O(n k') and fits in one process, so
+  only the O(m) arcs are distributed. It also offers the arcs as a
+  DataFrame, with the transition probabilities as a DataFrame helper.
 
 Conventions
 -----------
@@ -21,6 +24,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -43,6 +47,14 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     key = e[:, 0] * np.int64(n) + e[:, 1]
     _, idx = np.unique(key, return_index=True)
     return e[np.sort(idx)]
+
+
+def _transition_rows(AX: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """``P @ X`` from ``A @ X``: the uniform arc weight 1/d_out(u) factors
+    out of row u's sum; dangling rows are empty sums and stay zero."""
+    d = d_out.copy()
+    d[d == 0] = 1.0
+    return AX / d[:, None]
 
 
 @dataclass
@@ -152,11 +164,8 @@ class LocalGraph:
         return self._segment_sum(X, indptr, indices)
 
     def pmv(self, X: np.ndarray) -> np.ndarray:
-        """``P @ X`` with P the transition matrix (dangling rows -> 0):
-        the uniform arc weight 1/d_out(u) factors out of each row sum."""
-        d = self.d_out.copy()
-        d[d == 0] = 1.0
-        return self.spmv(X) / d[:, None]
+        """``P @ X`` with P the transition matrix (dangling rows -> 0)."""
+        return _transition_rows(self.spmv(X), self.d_out)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form for walk sampling."""
@@ -191,25 +200,106 @@ class LocalGraph:
 
 
 class SparkGraph:
-    """Spark DataFrame view of a :class:`LocalGraph`.
+    """Spark view of a :class:`LocalGraph`.
 
-    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``;
-    :meth:`transition_arcs` returns a pure DataFrame result, checkable
-    against the DuckDB oracle.
+    :meth:`spmv`, :meth:`spmv_t` and :meth:`pmv` are the distributed sparse
+    products: same contract and same bytes as the :class:`LocalGraph`
+    methods, so BKSVD and the PPR loop run on either unchanged. ``arcs`` is
+    a cached DataFrame ``(src: long, dst: long)``; :meth:`transition_arcs`
+    returns a pure DataFrame result, checkable against the DuckDB oracle.
     """
 
-    def __init__(self, spark: SparkSession, local: LocalGraph, num_partitions: int | None = None):
+    def __init__(self, spark: SparkSession, local: LocalGraph):
         self.spark = spark
         self.local = local
         self.n = local.n
         self.directed = local.directed
-        a = local.arcs
+        # built and materialized here, so that the first product costs what
+        # every later one does
+        self._blocks = {key: self._row_blocks(key) for key in ("csr", "csr_t")}
+
+    @cached_property
+    def arcs(self) -> DataFrame:
+        """The arcs as a cached DataFrame, built on first use (the products
+        do not read it)."""
+        a = self.local.arcs
         pdf = pd.DataFrame({"src": a[:, 0], "dst": a[:, 1]})
-        df = spark.createDataFrame(pdf)
-        if num_partitions:
-            df = df.repartition(num_partitions, "dst")
-        self.arcs: DataFrame = df.cache()
-        self.arcs.count()  # materialize
+        # the schema is given so that a graph with no arcs works too
+        return self.spark.createDataFrame(pdf, "src long, dst long").cache()
+
+    def _row_blocks(self, key: str) -> DataFrame:
+        """The CSR ``key`` ("csr" of A or "csr_t" of A^T) cut into
+        ``defaultParallelism`` contiguous row blocks of about equal arc
+        counts, one DataFrame row (and partition) per block: ``lo``, ``hi``
+        and the block's ``indptr`` / ``indices`` as raw int64 bytes; cached
+        and materialized."""
+        indptr, indices = getattr(self.local, key)()
+        nb = self.spark.sparkContext.defaultParallelism
+        cuts = np.searchsorted(indptr, np.linspace(0, indices.size, nb + 1))
+        cuts[0], cuts[-1] = 0, self.n
+        lo, hi = cuts[:-1], cuts[1:]
+        pdf = pd.DataFrame({
+            "lo": lo,
+            "hi": hi,
+            "indptr": [(indptr[a:b + 1] - indptr[a]).tobytes()
+                       for a, b in zip(lo, hi)],
+            "indices": [indices[indptr[a]:indptr[b]].tobytes()
+                        for a, b in zip(lo, hi)],
+        })
+        df = self.spark.createDataFrame(
+            pdf, "lo long, hi long, indptr binary, indices binary"
+        ).cache()
+        df.count()  # materialize
+        return df
+
+    def _product(self, X: np.ndarray, key: str) -> np.ndarray:
+        """Per-row sums of X over the CSR ``key``: broadcast X, sum each row
+        block on an executor, collect the blocks into an (n, k) array."""
+        X = np.atleast_2d(X.T).T
+        k = X.shape[1]
+        bX = self.spark.sparkContext.broadcast(X)
+
+        def block_sums(batches):
+            # LocalGraph._segment_sum's reduceat, so the sums are the same
+            # bytes; written out here because executors need not be able
+            # to import repro
+            X = bX.value
+            for pdf in batches:
+                for lo, hi, ptr, idx in pdf.itertuples(index=False):
+                    indptr = np.frombuffer(ptr, dtype=np.int64)
+                    indices = np.frombuffer(idx, dtype=np.int64)
+                    out = np.zeros((hi - lo, k))
+                    rows = np.diff(indptr) > 0
+                    if rows.any():
+                        out[rows] = np.add.reduceat(
+                            X[indices], indptr[:-1][rows], axis=0
+                        )
+                    yield pd.DataFrame(
+                        {"lo": [lo], "hi": [hi], "out": [out.tobytes()]}
+                    )
+
+        try:
+            parts = self._blocks[key].mapInPandas(
+                block_sums, "lo long, hi long, out binary"
+            ).collect()
+        finally:
+            bX.destroy()
+        out = np.zeros((self.n, k))
+        for lo, hi, buf in parts:
+            out[lo:hi] = np.frombuffer(buf).reshape(hi - lo, k)
+        return out
+
+    def spmv(self, X: np.ndarray) -> np.ndarray:
+        """``A @ X``."""
+        return self._product(X, "csr")
+
+    def spmv_t(self, X: np.ndarray) -> np.ndarray:
+        """``A.T @ X``."""
+        return self._product(X, "csr_t")
+
+    def pmv(self, X: np.ndarray) -> np.ndarray:
+        """``P @ X`` with P the transition matrix (dangling rows -> 0)."""
+        return _transition_rows(self.spmv(X), self.local.d_out)
 
     def transition_arcs(self) -> DataFrame:
         """(src, dst, p) with p = 1/d_out(src): the sparse transition matrix."""
@@ -222,4 +312,7 @@ class SparkGraph:
         )
 
     def unpersist(self) -> None:
-        self.arcs.unpersist()
+        if "arcs" in self.__dict__:
+            self.arcs.unpersist()
+        for df in self._blocks.values():
+            df.unpersist()

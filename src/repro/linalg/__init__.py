@@ -1,3 +1,3 @@
-"""Distributed linear algebra over Spark DataFrames (long-format matrices,
-randomized block-Krylov SVD) plus numpy reference backends."""
+"""Randomized block-Krylov SVD over any backend's sparse products, and
+long-format matrices over Spark DataFrames."""
 from repro.linalg.longmat import LongMatrix  # noqa: F401

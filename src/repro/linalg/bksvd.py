@@ -2,28 +2,28 @@
 
 Used by ApproxPPR (paper Algorithm 1, line 1) to factorize the adjacency
 matrix A ~= U S V^T with a (1+eps) spectral-norm guarantee. The matrix is
-touched only through matvecs, so the same algorithm runs on two backends:
+touched only through the products ``A X`` and ``A^T X``, so one algorithm,
+:func:`bksvd_local`, runs on any backend that computes them:
 
-* :func:`bksvd_local`  — numpy matvec callables (reference oracle);
-* :func:`bksvd_spark`  — arcs as a Spark DataFrame, Krylov blocks as
-  :class:`~repro.linalg.longmat.LongMatrix`; every A-product is a
-  join+groupBy superstep, all small (k x k) algebra stays on the driver.
+* :func:`bksvd_local`  — given the two product callables (numpy
+  ``LocalGraph.spmv``/``spmv_t``, or dense ones in tests);
+* :func:`bksvd_spark`  — the same call on a :class:`SparkGraph`'s
+  distributed products; all small (k x k) algebra stays in numpy.
 
 Algorithm (square A, n x n): draw Gaussian Omega (n x b); build the Krylov
 block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om]; orthonormalize to Q;
 Rayleigh-Ritz on A A^T restricted to span(Q) gives U; a final small SVD of
-U^T A gives (S, V) and rotates U.
+U^T A gives (S, V) and rotates U. When A has rank below k, the directions
+it lacks come back as zero columns with zero singular values, so the
+factors are always (n, k).
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.linalg.longmat import LongMatrix
+from repro.graphs.edgelist import SparkGraph
 
 
 def default_q(n: int, eps: float, k: int) -> int:
@@ -74,8 +74,8 @@ def bksvd_local(
     q: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference BKSVD. ``mv(X) = A @ X``, ``rmv(X) = A.T @ X``; returns
-    (U, sig, V) with U, V of shape (n, k), sig descending."""
+    """BKSVD. ``mv(X) = A @ X``, ``rmv(X) = A.T @ X``; returns (U, sig, V)
+    with U, V of shape (n, k), sig descending (zero-padded past rank A)."""
     q = default_q(n, eps, k) if q is None else q
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k))
@@ -97,54 +97,20 @@ def bksvd_local(
     U = Q @ Wr
     R = rmv(U)  # A^T U
     W2, sig, Vmul = _final_svd(R.T @ R, k)
-    return U @ W2, sig, R @ Vmul
+    # whitening drops the directions a rank-deficient A lacks: zero-pad
+    pad = [(0, 0), (0, k - sig.size)]
+    return np.pad(U @ W2, pad), np.pad(sig, pad[1]), np.pad(R @ Vmul, pad)
 
 
 def bksvd_spark(
-    spark: SparkSession,
-    arcs: DataFrame,
-    n: int,
+    sg: SparkGraph,
     k: int,
     *,
     eps: float = 0.2,
     q: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distributed BKSVD over an arc DataFrame (src, dst). A[u, v] = 1 iff
-    arc (u, v) exists. Embedding-sized outputs are collected to numpy."""
-    q = default_q(n, eps, k) if q is None else q
-    rng = np.random.default_rng(seed)
-    arcs_t = arcs.select(
-        F.col("dst").alias("src"), F.col("src").alias("dst")
-    ).cache()
+    """:func:`bksvd_local` on the distributed products of ``sg`` (A[u, v] = 1
+    iff arc (u, v) exists); the factors are the same bytes as locally."""
+    return bksvd_local(sg.spmv, sg.spmv_t, sg.n, k, eps=eps, q=q, seed=seed)
 
-    def mv(x: LongMatrix) -> LongMatrix:
-        return x.spmm(arcs, n).checkpoint()
-
-    def rmv(x: LongMatrix) -> LongMatrix:
-        return x.spmm(arcs_t, n).checkpoint()
-
-    def _normalize(b: LongMatrix) -> LongMatrix:
-        # per-block scaling, as in the local backend, to keep the Krylov
-        # Gram well-conditioned; the Frobenius norm is a tiny Gram trace
-        s = float(np.sqrt(max(np.trace(b.gram(b)), 0.0)))
-        return b.scale(1.0 / s).checkpoint() if s > 0 else b
-
-    omega = LongMatrix.from_numpy(spark, rng.standard_normal((n, k)))
-    block = _normalize(mv(omega))
-    K = block
-    for _ in range(q):
-        block = _normalize(mv(rmv(block)))
-        K = K.hstack(block)
-    K = K.checkpoint()
-    W, _ = _whiten(K.gram(K))  # Gram computed distributed
-    Q = K.mm_small(spark, W).checkpoint()
-    T = rmv(Q)
-    Wr = _ritz(T.gram(T), k)
-    U = Q.mm_small(spark, Wr).checkpoint()
-    R = rmv(U)
-    W2, sig, Vmul = _final_svd(R.gram(R), k)
-    U_np = U.to_numpy() @ W2
-    V_np = R.to_numpy() @ Vmul
-    arcs_t.unpersist()
-    return U_np, sig, V_np

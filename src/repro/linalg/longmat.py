@@ -1,5 +1,11 @@
 """Long-format distributed dense matrices.
 
+Not on the NRP path: BKSVD and the PPR supersteps run on
+:class:`~repro.graphs.edgelist.SparkGraph`'s broadcast-X products, which
+do no shuffle, where each product here is a join plus a groupBy plus an
+eager checkpoint. The class is kept with its tests as a DataFrame
+reference for the operations below.
+
 An ``n x k`` dense matrix (node embeddings, Krylov blocks) is a DataFrame
 ``(i: long, j: int, v: double)``. ``k`` is small (<= a few hundred) while
 ``n`` is large, so every op below is a Catalyst join/aggregation:

@@ -56,16 +56,13 @@ def test_default_q_clamped():
 
 
 def test_bksvd_spark_matches_local(spark):
+    # the Spark products sum in LocalGraph's order, so the factors are the
+    # same bytes, not merely the same up to sign
     g = example_graph()
     sg = SparkGraph(spark, g)
-    A = g.adjacency()
-    U_l, s_l, V_l = bksvd_local(*_dense_mv(A), g.n, 2, q=6, seed=0)
-    U_s, s_s, V_s = bksvd_spark(spark, sg.arcs, g.n, 2, q=6, seed=0)
-    # same algorithm, same seed: singular values agree tightly; factors up to sign
-    np.testing.assert_allclose(s_s, s_l, rtol=1e-6)
-    np.testing.assert_allclose(
-        np.abs(U_s.T @ U_l), np.eye(2), atol=1e-5
-    )
+    local = bksvd_local(g.spmv, g.spmv_t, g.n, 2, q=6, seed=0)
+    for a, b in zip(bksvd_spark(sg, 2, q=6, seed=0), local):
+        np.testing.assert_array_equal(a, b)
     sg.unpersist()
 
 
@@ -73,8 +70,19 @@ def test_bksvd_spark_reconstruction(spark):
     g = erdos_renyi(30, 120, directed=True, seed=5)
     sg = SparkGraph(spark, g)
     A = g.adjacency()
-    U, s, V = bksvd_spark(spark, sg.arcs, 30, 4, q=6, seed=2)
+    U, s, V = bksvd_spark(sg, 4, q=6, seed=2)
     exact = np.linalg.svd(A, compute_uv=False)
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
     assert err <= 1.3 * exact[4] + 1e-8
     sg.unpersist()
+
+
+def test_bksvd_pads_past_rank():
+    # rank 2 < k = 4: the missing directions are zero columns, so the
+    # factors keep the (n, k) contract
+    A = np.zeros((6, 6))
+    A[0, 1] = A[2, 3] = 1.0
+    U, s, V = bksvd_local(*_dense_mv(A), 6, 4, q=2, seed=0)
+    assert U.shape == V.shape == (6, 4) and s.shape == (4,)
+    np.testing.assert_allclose(s, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(U @ np.diag(s) @ V.T, A, atol=1e-12)

@@ -139,3 +139,25 @@ def test_spark_transition_arcs_oracle(spark):
         arcs=_arc_pdf(g),
     )
     sg.unpersist()
+
+
+_OPERATOR_GRAPHS = {
+    # node 3 is a dangling sink, nodes 5-6 are isolated
+    "sinks_isolated": lambda: LocalGraph.from_edges(
+        np.array([[0, 1], [1, 3], [2, 3], [4, 0], [0, 2]]), 7, True
+    ),
+    # fewer rows than blocks: some blocks are empty
+    "tiny": lambda: LocalGraph.from_edges(np.array([[0, 1]]), 2, False),
+    "no_edges": lambda: LocalGraph.from_edges(np.empty((0, 2)), 4, True),
+    "er_directed": lambda: erdos_renyi(60, 300, directed=True, seed=7),
+}
+
+
+@pytest.mark.parametrize("name", list(_OPERATOR_GRAPHS))
+def test_spark_products_equal_local_bytes(spark, name):
+    g = _OPERATOR_GRAPHS[name]()
+    X = np.random.default_rng(0).standard_normal((g.n, 3))
+    sg = SparkGraph(spark, g)
+    for op in ("spmv", "spmv_t", "pmv"):
+        assert np.array_equal(getattr(sg, op)(X), getattr(g, op)(X)), op
+    sg.unpersist()
